@@ -5,118 +5,21 @@ grid operators with Hilbert-Schmidt metrics, and the best approximation of
 classical cyclic operators by dyadic convolution symbols.
 """
 
-from .best_approx import (
-    BUTZER_WAGNER,
-    FAMILIES,
-    ONNEWEER,
-    OPTIMAL,
-    ConvolutionSymbol,
-    GammaFamily,
-    apply_symbol,
-    approx_error,
-    best_convolution_symbol,
-    butzer_wagner_gamma,
-    gamma_symbol,
-    onneweer_gamma,
-    optimal_gamma,
-    symbol_to_operator,
-    translation_symbol_closed_form,
-)
-from .dyadic import (
-    GridPoint,
-    bit,
-    bit_reverse,
-    bit_reversal_permutation,
-    dyadic_add,
-    gray,
-    gray_inverse,
-    h_mask,
-    last_set_position,
-    shift,
-)
-from .operators import (
-    ORIENTATIONS,
-    DenseOperator,
-    compressed_antiderivative,
-    difference_operator,
-    hs_inner,
-    hs_norm,
-    hs_norm_monte_carlo,
-    symmetric_difference_operator,
-    translation_operator,
-    walsh_conjugate,
-)
-from .verify import CheckResult, VerifyReport, run_verification
-from .walsh import (
-    GridFunction,
-    WalshSpectrum,
-    convolution_unit,
-    dyadic_convolve,
-    dyadic_convolve_naive,
-    fwht_forward,
-    fwht_forward_naive,
-    fwht_inverse,
-    fwht_inverse_naive,
-    sequency,
-    sequency_counts,
-    walsh_eval,
-    walsh_matrix,
-    walsh_values,
-)
+from . import best_approx, dyadic, operators, verify, walsh
+from .best_approx import *  # noqa: F403
+from .dyadic import *  # noqa: F403
+from .operators import *  # noqa: F403
+from .verify import *  # noqa: F403
+from .walsh import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BUTZER_WAGNER",
-    "FAMILIES",
-    "ONNEWEER",
-    "OPTIMAL",
-    "ORIENTATIONS",
-    "CheckResult",
-    "ConvolutionSymbol",
-    "DenseOperator",
-    "GammaFamily",
-    "GridFunction",
-    "GridPoint",
-    "VerifyReport",
-    "WalshSpectrum",
-    "apply_symbol",
-    "approx_error",
-    "best_convolution_symbol",
-    "bit",
-    "bit_reverse",
-    "bit_reversal_permutation",
-    "butzer_wagner_gamma",
-    "compressed_antiderivative",
-    "convolution_unit",
-    "difference_operator",
-    "dyadic_add",
-    "dyadic_convolve",
-    "dyadic_convolve_naive",
-    "fwht_forward",
-    "fwht_forward_naive",
-    "fwht_inverse",
-    "fwht_inverse_naive",
-    "gamma_symbol",
-    "gray",
-    "gray_inverse",
-    "h_mask",
-    "hs_inner",
-    "hs_norm",
-    "hs_norm_monte_carlo",
-    "last_set_position",
-    "onneweer_gamma",
-    "optimal_gamma",
-    "run_verification",
-    "sequency",
-    "sequency_counts",
-    "shift",
-    "symbol_to_operator",
-    "symmetric_difference_operator",
-    "translation_operator",
-    "translation_symbol_closed_form",
-    "walsh_conjugate",
-    "walsh_eval",
-    "walsh_matrix",
-    "walsh_values",
-]
+__all__ = sorted(
+    {
+        *best_approx.__all__,
+        *dyadic.__all__,
+        *operators.__all__,
+        *verify.__all__,
+        *walsh.__all__,
+    }
+)

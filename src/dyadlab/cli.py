@@ -3,15 +3,16 @@
 Subcommands: gamma, approx, compare, verify, transform, sequency.  Shared
 flags on every subcommand: --format {csv,json}, --out PATH (default
 stdout), --seed INT, --tol FLOAT.  Exit codes: 0 success, 1 verification
-failure, 2 usage error.  CSV output uses fixed headers and 15 significant
-digits; JSON output is key-sorted and byte-stable for fixed inputs and
-seed.
+failure, 2 usage or I/O error.  CSV output uses fixed headers and 15
+significant digits; JSON output is key-sorted and byte-stable for fixed
+inputs and seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -42,7 +43,7 @@ __all__ = ["main"]
 
 
 class UsageError(Exception):
-    """Invalid runtime arguments; reported on stderr with exit code 2."""
+    """Invalid arguments or failed I/O; reported on stderr with exit code 2."""
 
 
 def _fmt(x) -> str:
@@ -56,22 +57,32 @@ def _fmt(x) -> str:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
+    try:
+        if out is None:
+            sys.stdout.write(text)
+        else:
+            Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write output: {exc}") from None
+
+
+def _render(args, header, rows, meta, footer=None, key="rows") -> None:
+    """Write one table in args.format.
+
+    CSV: the header, one line per row and a `# name=value` line per footer
+    entry.  JSON: meta and footer entries plus the rows under `key`, one
+    object per row, key-sorted.
+    """
+    footer = footer or {}
+    if args.format == "csv":
+        lines = [",".join(header)]
+        lines += [",".join(map(_fmt, row)) for row in rows]
+        lines += [f"# {name}={_fmt(value)}" for name, value in footer.items()]
+        text = "\n".join(lines) + "\n"
     else:
-        Path(out).write_text(text, encoding="utf-8")
-
-
-def _csv(header: list[str], rows: list[list], footer: list[str] | None = None) -> str:
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(cell) for cell in row) for row in rows]
-    if footer:
-        lines += [f"# {line}" for line in footer]
-    return "\n".join(lines) + "\n"
-
-
-def _json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        payload = {**meta, **footer, key: [dict(zip(header, row)) for row in rows]}
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    _emit(text, args.out)
 
 
 def _require_range(name: str, value: int, low: int, high: int) -> None:
@@ -82,7 +93,7 @@ def _require_range(name: str, value: int, low: int, high: int) -> None:
 def cmd_gamma(args) -> int:
     _require_range("n", args.n, 1, 16)
     size = 2**args.n
-    counts = sequency_counts(args.n)
+    counts = sequency_counts(args.n).tolist()
     rows = []
     for k in range(size):
         # in paley ordering row k describes w_k; in sequency ordering it
@@ -95,19 +106,11 @@ def cmd_gamma(args) -> int:
                 optimal_gamma(gray_inverse(p)),
                 butzer_wagner_gamma(p),
                 onneweer_gamma(p),
-                int(counts[p]),
+                counts[p],
             ]
         )
     header = ["k", "gray_k", "gamma_optimal", "gamma_bw", "gamma_onneweer", "sequency"]
-    if args.format == "csv":
-        _emit(_csv(header, rows), args.out)
-    else:
-        payload = {
-            "n": args.n,
-            "ordering": args.ordering,
-            "rows": [dict(zip(header, row)) for row in rows],
-        }
-        _emit(_json(payload), args.out)
+    _render(args, header, rows, {"n": args.n, "ordering": args.ordering})
     return 0
 
 
@@ -134,35 +137,15 @@ def cmd_approx(args) -> int:
     operator, closed = _approx_problem(args.operator, args.n, args.orientation)
     oracle = best_convolution_symbol(operator)
     diffs = np.abs(oracle.coeffs - closed)
-    rows = [
-        [k, oracle.coeffs[k], closed[k], diffs[k]] for k in range(2**args.n)
-    ]
-    max_abs_diff = float(np.max(diffs))
-    residual = approx_error(operator, oracle)
-    if args.format == "csv":
-        footer = [
-            f"max_abs_diff={_fmt(max_abs_diff)}",
-            f"residual_hs_error={_fmt(residual)}",
-        ]
-        _emit(_csv(["k", "oracle", "closed_form", "abs_diff"], rows, footer), args.out)
-    else:
-        payload = {
-            "operator": args.operator,
-            "n": args.n,
-            "orientation": args.orientation,
-            "rows": [
-                {
-                    "k": k,
-                    "oracle": float(o),
-                    "closed_form": float(c),
-                    "abs_diff": float(d),
-                }
-                for k, o, c, d in rows
-            ],
-            "max_abs_diff": max_abs_diff,
-            "residual_hs_error": residual,
-        }
-        _emit(_json(payload), args.out)
+    rows = zip(
+        range(2**args.n), oracle.coeffs.tolist(), closed.tolist(), diffs.tolist()
+    )
+    meta = {"operator": args.operator, "n": args.n, "orientation": args.orientation}
+    footer = {
+        "max_abs_diff": float(np.max(diffs)),
+        "residual_hs_error": approx_error(operator, oracle),
+    }
+    _render(args, ["k", "oracle", "closed_form", "abs_diff"], rows, meta, footer)
     return 0
 
 
@@ -176,32 +159,26 @@ def cmd_compare(args) -> int:
         ("zero", ConvolutionSymbol(np.zeros(2**args.n))),
     ]
     rows = [[name, approx_error(delta, s)] for name, s in symbols]
-    if args.format == "csv":
-        _emit(_csv(["symbol", "hs_error"], rows), args.out)
-    else:
-        payload = {
-            "n": args.n,
-            "rows": [{"symbol": name, "hs_error": err} for name, err in rows],
-        }
-        _emit(_json(payload), args.out)
+    _render(args, ["symbol", "hs_error"], rows, {"n": args.n})
     return 0
 
 
 def cmd_verify(args) -> int:
     _require_range("n_max", args.n_max, 1, 10)
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise UsageError(f"tol must be finite and nonnegative, got {args.tol}")
     report = run_verification(n_max=args.n_max, tolerance=args.tol, seed=args.seed)
-    if args.format == "csv":
-        rows = [
-            [c.name, c.n, c.max_abs_error, c.tolerance, c.passed]
-            for c in report.checks
-        ]
-        footer = [f"overall_pass={_fmt(report.overall_pass)}"]
-        _emit(
-            _csv(["name", "n", "max_abs_error", "tolerance", "pass"], rows, footer),
-            args.out,
-        )
-    else:
-        _emit(_json(report.to_dict()), args.out)
+    rows = [
+        [c.name, c.n, c.max_abs_error, c.tolerance, c.passed] for c in report.checks
+    ]
+    _render(
+        args,
+        ["name", "n", "max_abs_error", "tolerance", "pass"],
+        rows,
+        {"n_max": report.n_max, "seed": report.seed},
+        {"overall_pass": report.overall_pass},
+        key="checks",
+    )
     return 0 if report.overall_pass else 1
 
 
@@ -209,19 +186,24 @@ def _read_vector(path: str) -> np.ndarray:
     if path == "-":
         text = sys.stdin.read()
     else:
-        source = Path(path)
-        if not source.exists():
-            raise UsageError(f"input file not found: {path}")
-        text = source.read_text(encoding="utf-8")
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except FileNotFoundError:
+            raise UsageError(f"input file not found: {path}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UsageError(f"cannot read input: {exc}") from None
     values = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            values.append(float(line))
+            value = float(line)
         except ValueError:
             raise UsageError(f"line {lineno} is not a number: {line!r}") from None
+        if not math.isfinite(value):
+            raise UsageError(f"line {lineno} is not finite: {line!r}")
+        values.append(value)
     if not values:
         raise UsageError("input vector is empty")
     return np.asarray(values, dtype=np.float64)
@@ -241,26 +223,17 @@ def cmd_transform(args) -> int:
         payload = {
             "direction": args.direction,
             "length": int(result.size),
-            "values": [float(v) for v in result],
+            "values": result.tolist(),
         }
-        _emit(_json(payload), args.out)
+        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
 
 def cmd_sequency(args) -> int:
     _require_range("n", args.n, 1, 14)
-    counts = sequency_counts(args.n)
-    rows = [[k, gray(k), int(counts[gray(k)])] for k in range(2**args.n)]
-    if args.format == "csv":
-        _emit(_csv(["k", "gray_k", "sequency"], rows), args.out)
-    else:
-        payload = {
-            "n": args.n,
-            "rows": [
-                {"k": k, "gray_k": g, "sequency": s} for k, g, s in rows
-            ],
-        }
-        _emit(_json(payload), args.out)
+    counts = sequency_counts(args.n).tolist()
+    rows = [[k, gray(k), counts[gray(k)]] for k in range(2**args.n)]
+    _render(args, ["k", "gray_k", "sequency"], rows, {"n": args.n})
     return 0
 
 

@@ -44,15 +44,6 @@ class CheckResult:
     tolerance: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "n": self.n,
-            "max_abs_error": self.max_abs_error,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
-
 
 @dataclass
 class VerifyReport:
@@ -63,14 +54,6 @@ class VerifyReport:
     @property
     def overall_pass(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_max": self.n_max,
-            "seed": self.seed,
-            "checks": [c.to_dict() for c in self.checks],
-            "overall_pass": self.overall_pass,
-        }
 
 
 def _rng(seed: int, tag: int, n: int) -> np.random.Generator:

@@ -211,19 +211,19 @@ def sequency(k: int, n: int) -> int:
 def sequency_counts(n: int) -> np.ndarray:
     """Sign-change counts of every w_k, k < 2**n, on the resolution-n grid.
 
-    Equivalent to [sequency(k, n) for k in range(2**n)] but blockwise
-    vectorized; memory stays bounded for large n.
+    Equal to [sequency(k, n) for k in range(2**n)], counted in O(n 2**n) by
+    the tail-mask rule: w_k changes sign between cells j-1 and j exactly when
+    popcount(k & rev(j ^ (j-1))) is odd, and j ^ (j-1) = 2**(b+1) - 1 depends
+    only on the lowest set bit b of j, which 2**(n-1-b) cells share.  So
+
+        counts[k] = sum_{b<n} 2**(n-1-b) * parity(k & rev(2**(b+1) - 1)).
+
+    verify's sign_change_predicate check tests the rule against the values.
     """
-    size = 1 << n
-    perm = bit_reversal_permutation(n)
-    if n <= 31:
-        perm = perm.astype(np.int32)
-    out = np.empty(size, dtype=np.int64)
-    rows = max(1, (1 << 23) // size)
-    for start in range(0, size, rows):
-        ks = np.arange(start, min(start + rows, size), dtype=perm.dtype)
-        parity = np.bitwise_count(ks[:, None] & perm[None, :]) & 1
-        out[start : start + ks.size] = np.count_nonzero(
-            parity[:, 1:] != parity[:, :-1], axis=1
-        )
-    return out
+    ks = np.arange(1 << n, dtype=np.int64)
+    counts = np.zeros(1 << n, dtype=np.int64)
+    for b in range(n):
+        # reversing the low b+1 set bits of an n-bit index moves them to the top
+        tail = ((2 << b) - 1) << (n - 1 - b)
+        counts += (np.bitwise_count(ks & tail) & 1).astype(np.int64) << (n - 1 - b)
+    return counts

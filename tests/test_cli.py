@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -349,6 +353,42 @@ def test_corrupted_antiderivative_flips_verify(tmp_path, monkeypatch):
     code, payload = run_json(tmp_path, ["verify", "--n-max", "3"])
     assert code == 1
     assert "antiderivative_half_delta_symbol" in _failed_checks(payload)
+
+
+# ---------------------------------------------------------------------------
+# every failure mode exits 2 with one error line and no traceback
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["gamma", "-n", "2", "--out", "{tmp}/missing/out.csv"], "cannot write output"),
+        (["verify", "--n-max", "2", "--out", "{tmp}"], "cannot write output"),
+        (["verify", "--n-max", "2", "--tol", "nan"], "tol must be finite"),
+        (["verify", "--n-max", "2", "--tol", "inf"], "tol must be finite"),
+        (["verify", "--n-max", "2", "--tol", "-1"], "tol must be finite"),
+        (["transform", "{tmp}/nan.txt"], "line 3 is not finite"),
+        (["transform", "{tmp}/inf.txt"], "line 2 is not finite"),
+        (["transform", "{tmp}"], "cannot read input"),
+    ],
+)
+def test_failure_modes_exit_2_without_traceback(tmp_path, argv, message):
+    (tmp_path / "nan.txt").write_text("1\n# comment\nnan\n4\n")
+    (tmp_path / "inf.txt").write_text("1\n-inf\n3\n4\n")
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "dyadlab.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and message in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
 
 
 # ---------------------------------------------------------------------------

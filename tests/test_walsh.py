@@ -219,12 +219,19 @@ def test_sequency_independent_of_resolution():
             assert sequency(k, n) == reference
 
 
-@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("n", range(0, 13))
 def test_sequency_counts_matches_scalar(n):
     counts = sequency_counts(n)
     assert counts.shape == (2**n,)
     for k in range(2**n):
         assert counts[k] == sequency(k, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(13, 16).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, 2**n - 1))))
+def test_sequency_counts_matches_scalar_at_large_n(nk):
+    n, k = nk
+    assert sequency_counts(n)[k] == sequency(k, n)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
