@@ -137,8 +137,8 @@ def cmd_approx(args) -> int:
     operator, closed = _approx_problem(args.operator, args.n, args.orientation)
     oracle = best_convolution_symbol(operator)
     diffs = np.abs(oracle.coeffs - closed)
-    rows = zip(
-        range(2**args.n), oracle.coeffs.tolist(), closed.tolist(), diffs.tolist()
+    rows = list(
+        zip(range(2**args.n), oracle.coeffs.tolist(), closed.tolist(), diffs.tolist())
     )
     meta = {"operator": args.operator, "n": args.n, "orientation": args.orientation}
     footer = {
@@ -167,6 +167,8 @@ def cmd_verify(args) -> int:
     _require_range("n_max", args.n_max, 1, 10)
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise UsageError(f"tol must be finite and nonnegative, got {args.tol}")
+    if args.seed < 0:
+        raise UsageError(f"seed must be nonnegative, got {args.seed}")
     report = run_verification(n_max=args.n_max, tolerance=args.tol, seed=args.seed)
     rows = [
         [c.name, c.n, c.max_abs_error, c.tolerance, c.passed] for c in report.checks

@@ -369,6 +369,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
         (["verify", "--n-max", "2", "--tol", "nan"], "tol must be finite"),
         (["verify", "--n-max", "2", "--tol", "inf"], "tol must be finite"),
         (["verify", "--n-max", "2", "--tol", "-1"], "tol must be finite"),
+        (["verify", "--n-max", "2", "--seed", "-1"], "seed must be nonnegative"),
         (["transform", "{tmp}/nan.txt"], "line 3 is not finite"),
         (["transform", "{tmp}/inf.txt"], "line 2 is not finite"),
         (["transform", "{tmp}"], "cannot read input"),

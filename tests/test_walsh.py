@@ -228,7 +228,11 @@ def test_sequency_counts_matches_scalar(n):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(13, 16).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, 2**n - 1))))
+@given(
+    st.integers(13, 16).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, 2**n - 1))
+    )
+)
 def test_sequency_counts_matches_scalar_at_large_n(nk):
     n, k = nk
     assert sequency_counts(n)[k] == sequency(k, n)
