@@ -20,7 +20,7 @@ import numpy as np
 
 from .dyadic import bit, gray, gray_inverse
 from .operators import DenseOperator
-from .walsh import GridFunction, WalshSpectrum, fwht_forward, fwht_inverse, walsh_matrix
+from .walsh import GridFunction, WalshSpectrum, fwht_forward, fwht_inverse
 
 __all__ = [
     "BUTZER_WAGNER",
@@ -123,13 +123,38 @@ def best_convolution_symbol(a: DenseOperator) -> ConvolutionSymbol:
     """Walsh diagonal of A: the unique HS-closest convolution symbol.
 
     coeffs[k] = <A w_k, w_k> with the normalized grid inner product; the
-    residual A - C is HS-orthogonal to every convolution operator.  The
-    2**-n weight is applied as a single power-of-two scaling so that
-    operators with dyadic-rational entries get exact symbols.
+    residual A - C is HS-orthogonal to every convolution operator.  Since
+    w_k(x_i) * w_k(x_j) = w_k(x_(i XOR j)), the symbol is the forward
+    transform of the XOR-diagonal sums of A:
+
+        coeffs = fwht_forward(b),   b[d] = sum_i A[i, i XOR d],
+
+    which costs O(N**2) additions for N = 2**n, against O(N**3) for the
+    dense W A W^T diagonal.  The 2**-n weight is applied as a single
+    power-of-two scaling so that operators with dyadic-rational entries get
+    exact symbols.
     """
-    n = a.resolution
-    w = walsh_matrix(n)
-    return ConvolutionSymbol(np.sum((w @ a.entries) * w, axis=1) * 2.0**-n)
+    return ConvolutionSymbol(fwht_forward(GridFunction(_xor_fold(a.entries))).coeffs)
+
+
+def _xor_fold(entries: np.ndarray) -> np.ndarray:
+    """XOR-diagonal sums b[d] = sum_i entries[i, i XOR d], by halving.
+
+    Splitting i and j on their top bit, the diagonal blocks hold the d with
+    top bit 0 and the off-diagonal blocks those with top bit 1; each pair of
+    blocks is added into one slot, and the (slots, h, h) stack is split again
+    until h = 1, when slot d holds b[d].
+    """
+    size = entries.shape[0]
+    blocks = entries.reshape(1, size, size)
+    while blocks.shape[1] > 1:
+        h = blocks.shape[1] // 2
+        quads = blocks.reshape(-1, 2, h, 2, h)
+        folded = np.empty((quads.shape[0], 2, h, h))
+        np.add(quads[:, 0, :, 0], quads[:, 1, :, 1], out=folded[:, 0])
+        np.add(quads[:, 0, :, 1], quads[:, 1, :, 0], out=folded[:, 1])
+        blocks = folded.reshape(-1, h, h)
+    return blocks.reshape(size)
 
 
 def translation_symbol_closed_form(n: int) -> ConvolutionSymbol:
@@ -149,11 +174,25 @@ def symbol_to_operator(s: ConvolutionSymbol) -> DenseOperator:
     """Dense matrix of g -> f * g where f has Walsh coefficients s.
 
     The matrix is 2**-n W^T diag(s) W, i.e. it is diagonalized by the
-    Walsh basis with eigenvalues s.
+    Walsh basis with eigenvalues s.  Its entries depend on i XOR j only:
+
+        C[i, j] = 2**-n f[i XOR j],   f = fwht_inverse(s),
+
+    so it is built in O(N**2) copies for N = 2**n, with no matmul: row 0 is
+    2**-n f, and rows i and i XOR 2**b differ by swapping the column blocks
+    of width 2**b, so each pass copies the rows filled so far.
     """
-    n = s.resolution
-    w = walsh_matrix(n)
-    return DenseOperator((w.T @ (s.coeffs[:, None] * w)) * 2.0**-n)
+    f = fwht_inverse(WalshSpectrum(s.coeffs)).values * 2.0**-s.resolution
+    size = f.size
+    entries = np.empty((size, size))
+    entries[0] = f
+    h = 1
+    while h < size:
+        entries[h : 2 * h].reshape(h, -1, 2, h)[:] = (
+            entries[:h].reshape(h, -1, 2, h)[:, :, ::-1]
+        )
+        h *= 2
+    return DenseOperator(entries)
 
 
 def apply_symbol(s: ConvolutionSymbol, g: GridFunction) -> GridFunction:
@@ -172,4 +211,8 @@ def approx_error(a: DenseOperator, s: ConvolutionSymbol) -> float:
         raise ValueError(
             f"resolution mismatch: {a.resolution} != {s.resolution}"
         )
-    return float(np.linalg.norm(a.entries - symbol_to_operator(s).entries, "fro"))
+    # C - A, formed in C's buffer, holds the entries of A - C negated: the
+    # same norm, bit for bit, without a second N x N array
+    residual = symbol_to_operator(s).entries
+    residual -= a.entries
+    return float(np.linalg.norm(residual, "fro"))

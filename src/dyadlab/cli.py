@@ -2,10 +2,11 @@
 
 Subcommands: gamma, approx, compare, verify, transform, sequency.  Shared
 flags on every subcommand: --format {csv,json}, --out PATH (default
-stdout), --seed INT, --tol FLOAT.  Exit codes: 0 success, 1 verification
-failure, 2 usage or I/O error.  CSV output uses fixed headers and 15
-significant digits; JSON output is key-sorted and byte-stable for fixed
-inputs and seed.
+stdout).  Only verify takes --seed INT and --tol FLOAT; any other
+subcommand rejects them as a usage error.  Exit codes: 0 success, 1
+verification failure, 2 usage or I/O error, reported as one `error:` line
+on stderr.  CSV output uses fixed headers and 15 significant digits; JSON
+output is key-sorted and byte-stable for fixed inputs and seed.
 """
 
 from __future__ import annotations
@@ -44,6 +45,13 @@ __all__ = ["main"]
 
 class UsageError(Exception):
     """Invalid arguments or failed I/O; reported on stderr with exit code 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad argument as one `error:` line, like every exit-2 failure."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
 
 
 def _fmt(x) -> str:
@@ -245,17 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("csv", "json"), default="csv", help="output format"
     )
     common.add_argument("--out", default=None, help="output path (default stdout)")
-    common.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED, help="seed for randomized checks"
-    )
-    common.add_argument(
-        "--tol",
-        type=float,
-        default=DEFAULT_TOLERANCE,
-        help="tolerance for floating-point checks",
-    )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dyadlab",
         description="Walsh analysis tables, operator approximation, verification",
     )
@@ -295,6 +294,15 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", parents=[common], help="run the full invariant suite"
     )
     p.add_argument("--n-max", type=int, default=8, help="largest resolution, 1..10")
+    p.add_argument(
+        "--seed", type=int, default=DEFAULT_SEED, help="seed for randomized checks"
+    )
+    p.add_argument(
+        "--tol",
+        type=float,
+        default=DEFAULT_TOLERANCE,
+        help="tolerance for floating-point checks",
+    )
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser(

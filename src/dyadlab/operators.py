@@ -85,18 +85,30 @@ def difference_operator(n: int, orientation: str = "backward_quotient") -> Dense
     """
     if orientation not in ORIENTATIONS:
         raise ValueError(f"orientation must be one of {ORIENTATIONS}")
-    t = translation_operator(n, 1).entries
-    quotient = 2.0**n * (np.eye(2**n) - t)
+    if n < 1:
+        raise ValueError("resolution must be a positive integer")
+    size = 2**n
+    j = np.arange(size)
+    entries = np.zeros((size, size))
+    entries[j, j] = 2.0**n
+    entries[j, (j - 1) % size] = -(2.0**n)
     if orientation == "negated_backward_quotient":
-        quotient = -quotient
-    return DenseOperator(quotient)
+        # negating in place also turns the off-band zeros into -0.0
+        np.negative(entries, out=entries)
+    return DenseOperator(entries)
 
 
 def symmetric_difference_operator(n: int) -> DenseOperator:
     """Centered difference 2**(n-1) (T_+ - T_-) with one-cell translations."""
-    forward = translation_operator(n, 1).entries
-    backward = translation_operator(n, -1).entries
-    return DenseOperator(2.0 ** (n - 1) * (forward - backward))
+    if n < 1:
+        raise ValueError("resolution must be a positive integer")
+    size = 2**n
+    j = np.arange(size)
+    entries = np.zeros((size, size))
+    entries[j, (j - 1) % size] = 2.0 ** (n - 1)
+    # at n = 1 both translations are the same swap and cancel to +0.0
+    entries[j, (j + 1) % size] -= 2.0 ** (n - 1)
+    return DenseOperator(entries)
 
 
 def compressed_antiderivative(n: int) -> DenseOperator:
@@ -110,7 +122,9 @@ def compressed_antiderivative(n: int) -> DenseOperator:
         raise ValueError("resolution must be a positive integer")
     size = 2**n
     h = 2.0**-n
-    entries = np.tril(np.full((size, size), h), k=-1) + (h / 2) * np.eye(size)
+    entries = np.tri(size, k=-1)
+    entries *= h
+    entries.flat[:: size + 1] = h / 2
     return DenseOperator(entries)
 
 

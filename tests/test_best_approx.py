@@ -32,7 +32,7 @@ from dyadlab.operators import (
     walsh_conjugate,
 )
 from dyadlab.walsh import GridFunction, walsh_values
-from oracles import naive_best_symbol
+from oracles import naive_best_symbol, walsh_row
 
 
 def random_operator(n, seed):
@@ -57,6 +57,24 @@ def test_best_symbol_matches_bruteforce_oracle(n):
     fast = best_convolution_symbol(a).coeffs
     slow = naive_best_symbol(a)
     assert np.max(np.abs(fast - slow)) <= 1e-12
+
+
+@given(st.integers(1, 6), st.integers(0, 10**9))
+@settings(max_examples=15, deadline=None)
+def test_fold_matches_bruteforce_oracle(n, seed):
+    a = random_operator(n, seed)
+    fast = best_convolution_symbol(a).coeffs
+    assert np.max(np.abs(fast - naive_best_symbol(a))) <= 1e-12 * hs_norm(a)
+
+
+@given(st.integers(1, 6), st.integers(0, 10**9))
+@settings(max_examples=15, deadline=None)
+def test_unfold_matches_walsh_outer_products(n, seed):
+    s = np.random.default_rng(seed).standard_normal(2**n)
+    rows = [walsh_row(k, n) for k in range(2**n)]
+    oracle = sum(s[k] * np.outer(w, w) for k, w in enumerate(rows)) / 2**n
+    fast = symbol_to_operator(ConvolutionSymbol(s)).entries
+    assert np.max(np.abs(fast - oracle)) <= 1e-12 * np.linalg.norm(s)
 
 
 def test_best_symbol_of_identity():

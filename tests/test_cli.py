@@ -373,6 +373,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
         (["transform", "{tmp}/nan.txt"], "line 3 is not finite"),
         (["transform", "{tmp}/inf.txt"], "line 2 is not finite"),
         (["transform", "{tmp}"], "cannot read input"),
+        (["gamma", "-n", "1", "--tol", "nan", "--seed", "-5"], "unrecognized arguments"),
+        (["gamma", "-n", "x"], "invalid int value"),
     ],
 )
 def test_failure_modes_exit_2_without_traceback(tmp_path, argv, message):

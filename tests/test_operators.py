@@ -121,6 +121,29 @@ def test_antiderivative_row_sums(n):
     assert np.array_equal(entries.sum(axis=1), expected)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_named_builders_match_their_formulas_bit_for_bit(n):
+    # the chained matrix formulas, signed zeros included: the negated
+    # quotient carries -0.0 off its band, and the CLI prints "-0"
+    size = 2**n
+    h = 2.0**-n
+    forward = translation_operator(n, 1).entries
+    backward = translation_operator(n, -1).entries
+    quotient = 2.0**n * (np.eye(size) - forward)
+    pairs = [
+        (difference_operator(n).entries, quotient),
+        (difference_operator(n, "negated_backward_quotient").entries, -quotient),
+        (symmetric_difference_operator(n).entries, 2.0 ** (n - 1) * (forward - backward)),
+        (
+            compressed_antiderivative(n).entries,
+            np.tril(np.full((size, size), h), k=-1) + (h / 2) * np.eye(size),
+        ),
+    ]
+    for built, formula in pairs:
+        assert np.array_equal(built, formula)
+        assert np.array_equal(np.signbit(built), np.signbit(formula))
+
+
 def test_hs_inner_examples():
     for n in range(1, 6):
         eye = DenseOperator(np.eye(2**n))
