@@ -289,13 +289,15 @@ def _check_residual_orthogonality(n, rng):
     # unfold round random float matrices differently in the last digits,
     # and this check's printed errors are pinned byte for byte.
     w = walsh.walsh_matrix(n)
+
+    def convolution(s):
+        return (w.T @ (s[:, None] * w)) * 2.0**-n
+
     a = rng.standard_normal((2**n, 2**n))
-    best = np.sum((w @ a) * w, axis=1) * 2.0**-n
-    residual = a - (w.T @ (best[:, None] * w)) * 2.0**-n
+    residual = a - convolution(np.sum((w @ a) * w, axis=1) * 2.0**-n)
     worst = 0.0
     for _ in range(20):
-        g = rng.standard_normal(2**n)
-        c_g = (w.T @ (g[:, None] * w)) * 2.0**-n
+        c_g = convolution(rng.standard_normal(2**n))
         worst = max(worst, abs(float(np.sum(c_g * residual))))
     return worst
 
