@@ -7,8 +7,9 @@ Hilbert-Schmidt norm is the Walsh diagonal coeffs[k] = <A w_k, w_k> under
 the normalized grid inner product, i.e. the orthogonal projection of A
 onto the convolution algebra.
 
-Symbols are stored in Paley index order throughout; the Gray re-indexing
-used by the closed-form constructors is applied explicitly there.
+Symbols are stored in Paley index order throughout; the closed-form
+constructors read the sequency of Paley index k as gray_inverse(k), which
+equals sequency_counts(n)[k].
 """
 
 from __future__ import annotations
@@ -18,9 +19,15 @@ from typing import Callable
 
 import numpy as np
 
-from .dyadic import bit, gray, gray_inverse
+from .dyadic import bit, gray_inverse
 from .operators import DenseOperator
-from .walsh import GridFunction, WalshSpectrum, fwht_forward, fwht_inverse
+from .walsh import (
+    GridFunction,
+    WalshSpectrum,
+    fwht_forward,
+    fwht_inverse,
+    sequency_counts,
+)
 
 __all__ = [
     "BUTZER_WAGNER",
@@ -160,14 +167,15 @@ def _xor_fold(entries: np.ndarray) -> np.ndarray:
 def translation_symbol_closed_form(n: int) -> ConvolutionSymbol:
     """Best symbol of the one-cell cyclic translation, in closed form.
 
-    The value at Paley index gray(m) is 1 - 2**(1-n) * (m + m_0).
+    With s = sequency_counts(n), so that w_k has s[k] sign changes, the
+    value at Paley index k is 1 - 2**(1-n) * (s[k] + s[k] mod 2): s[k] plus
+    its low bit counts the sign changes cyclically, including the wrap from
+    the last cell to the first.
     """
     if n < 1:
         raise ValueError("resolution must be a positive integer")
-    coeffs = np.empty(2**n)
-    for m in range(2**n):
-        coeffs[gray(m)] = 1.0 - 2.0 ** (1 - n) * (m + bit(m, 0))
-    return ConvolutionSymbol(coeffs)
+    s = sequency_counts(n)
+    return ConvolutionSymbol(1.0 - 2.0 ** (1 - n) * (s + (s & 1)))
 
 
 def symbol_to_operator(s: ConvolutionSymbol) -> DenseOperator:

@@ -7,6 +7,8 @@ use the caller's tolerance (the closed-form difference-quotient check is
 scaled by 2**n to match the operator's magnitude); the Monte-Carlo check
 uses a fixed 5% relative tolerance.  All randomized checks draw from
 generators seeded by (seed, check tag, n), so reports are byte-stable.
+The fast transform, convolution and projection routes are compared with
+the definition-level references in dyadlab.oracles.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import best_approx, operators, walsh
+from . import best_approx, operators, oracles, walsh
 from .dyadic import (
     GridPoint,
     bit_reversal_permutation,
@@ -135,7 +137,7 @@ def _check_fwht_vs_naive(n, rng):
     err = float(
         np.max(
             np.abs(
-                walsh.fwht_forward(f).coeffs - walsh.fwht_forward_naive(f).coeffs
+                walsh.fwht_forward(f).coeffs - oracles.fwht_forward_naive(f).coeffs
             )
         )
     )
@@ -145,7 +147,7 @@ def _check_fwht_vs_naive(n, rng):
         float(
             np.max(
                 np.abs(
-                    walsh.fwht_inverse(s).values - walsh.fwht_inverse_naive(s).values
+                    walsh.fwht_inverse(s).values - oracles.fwht_inverse_naive(s).values
                 )
             )
         ),
@@ -163,7 +165,7 @@ def _check_convolution_theorem(n, rng):
     f = walsh.GridFunction(rng.uniform(-1.0, 1.0, 2**n))
     g = walsh.GridFunction(rng.uniform(-1.0, 1.0, 2**n))
     fast = walsh.dyadic_convolve(f, g)
-    naive = walsh.dyadic_convolve_naive(f, g)
+    naive = oracles.dyadic_convolve_naive(f, g)
     err = float(np.max(np.abs(fast.values - naive.values)))
     product = walsh.fwht_forward(f).coeffs * walsh.fwht_forward(g).coeffs
     err = max(
@@ -285,19 +287,16 @@ def _check_projection_optimality(n, rng):
 
 
 def _check_residual_orthogonality(n, rng):
-    # The dense W route on purpose: the library's O(N**2) XOR fold and
+    # The dense oracles on purpose: the library's O(N**2) XOR fold and
     # unfold round random float matrices differently in the last digits,
     # and this check's printed errors are pinned byte for byte.
-    w = walsh.walsh_matrix(n)
-
-    def convolution(s):
-        return (w.T @ (s[:, None] * w)) * 2.0**-n
-
-    a = rng.standard_normal((2**n, 2**n))
-    residual = a - convolution(np.sum((w @ a) * w, axis=1) * 2.0**-n)
+    a = operators.DenseOperator(rng.standard_normal((2**n, 2**n)))
+    projection = oracles.symbol_to_operator_naive(oracles.best_symbol_naive(a))
+    residual = a.entries - projection.entries
     worst = 0.0
     for _ in range(20):
-        c_g = convolution(rng.standard_normal(2**n))
+        g = best_approx.ConvolutionSymbol(rng.standard_normal(2**n))
+        c_g = oracles.symbol_to_operator_naive(g).entries
         worst = max(worst, abs(float(np.sum(c_g * residual))))
     return worst
 

@@ -9,6 +9,9 @@ with rev reversing the lowest n bits of the cell index.  The forward
 transform carries the 2**-n cell weight and the inverse carries none, so
 forward-then-inverse is the identity and the transform is an isometry from
 the normalized grid inner product to the plain spectral sum.
+
+walsh_matrix evaluates that pairing directly; the definition-level oracles
+that check the fast routes here are in dyadlab.oracles.
 """
 
 from __future__ import annotations
@@ -24,11 +27,8 @@ __all__ = [
     "WalshSpectrum",
     "convolution_unit",
     "dyadic_convolve",
-    "dyadic_convolve_naive",
     "fwht_forward",
-    "fwht_forward_naive",
     "fwht_inverse",
-    "fwht_inverse_naive",
     "sequency",
     "sequency_counts",
     "walsh_eval",
@@ -93,11 +93,20 @@ def walsh_values(k: int, n: int) -> np.ndarray:
 
 
 def walsh_matrix(n: int, dtype=np.float64) -> np.ndarray:
-    """Matrix W[k, j] = w_k(x_j) on the resolution-n grid."""
-    h = np.ones((1, 1), dtype=np.int8)
-    for _ in range(n):
-        h = np.block([[h, h], [h, -h]])
-    return h[:, bit_reversal_permutation(n)].astype(dtype)
+    """Matrix W[k, j] = w_k(x_j) = (-1)**popcount(k & rev(j)).
+
+    Evaluated from the definition, with rev taken from the scalar
+    bit_reverse, so it shares no code with the butterfly; the oracles in
+    dyadlab.oracles are built on it.
+    """
+    size = 2**n
+    rev = np.array(
+        [bit_reverse(j, n) for j in range(size)], dtype=np.min_scalar_type(size - 1)
+    )
+    parity = np.bitwise_count(rev[:, None] & np.arange(size, dtype=rev.dtype)) & 1
+    # evaluated as W^T and returned transposed, so W is F-ordered: BLAS
+    # rounds products with W by layout, and verify's pinned errors read them
+    return (1 - 2 * parity.astype(np.int8)).astype(dtype).T
 
 
 def _butterfly(a: np.ndarray) -> np.ndarray:
@@ -130,38 +139,6 @@ def fwht_inverse(s: WalshSpectrum) -> GridFunction:
     return GridFunction(_butterfly(s.coeffs)[perm])
 
 
-def fwht_forward_naive(f: GridFunction) -> WalshSpectrum:
-    """Direct O(4**n) summation oracle for fwht_forward."""
-    n = f.resolution
-    if n == 0:
-        return WalshSpectrum(f.values.copy())
-    size = 2**n
-    coeffs = np.array(
-        [
-            sum(f.values[j] * walsh_eval(k, GridPoint(j, n)) for j in range(size))
-            for k in range(size)
-        ],
-        dtype=np.float64,
-    )
-    return WalshSpectrum(coeffs * 2.0**-n)
-
-
-def fwht_inverse_naive(s: WalshSpectrum) -> GridFunction:
-    """Direct O(4**n) summation oracle for fwht_inverse."""
-    n = s.resolution
-    if n == 0:
-        return GridFunction(s.coeffs.copy())
-    size = 2**n
-    values = np.array(
-        [
-            sum(s.coeffs[k] * walsh_eval(k, GridPoint(j, n)) for k in range(size))
-            for j in range(size)
-        ],
-        dtype=np.float64,
-    )
-    return GridFunction(values)
-
-
 def convolution_unit(n: int) -> GridFunction:
     """The unit of dyadic convolution: 2**n times the indicator of cell 0."""
     values = np.zeros(2**n)
@@ -181,19 +158,6 @@ def dyadic_convolve(f: GridFunction, g: GridFunction) -> GridFunction:
     fs = fwht_forward(f)
     gs = fwht_forward(g)
     return fwht_inverse(WalshSpectrum(fs.coeffs * gs.coeffs))
-
-
-def dyadic_convolve_naive(f: GridFunction, g: GridFunction) -> GridFunction:
-    """Direct O(4**n) double-sum oracle for dyadic_convolve."""
-    if f.resolution != g.resolution:
-        raise ValueError(
-            f"resolution mismatch: {f.resolution} != {g.resolution}"
-        )
-    size = f.values.size
-    out = np.zeros(size)
-    for j in range(size):
-        out[j] = sum(f.values[j ^ t] * g.values[t] for t in range(size)) / size
-    return GridFunction(out)
 
 
 def sequency(k: int, n: int) -> int:

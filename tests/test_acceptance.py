@@ -40,15 +40,17 @@ from dyadlab.operators import (
     translation_operator,
     walsh_conjugate,
 )
+from dyadlab.oracles import (
+    dyadic_convolve_naive,
+    fwht_forward_naive,
+    fwht_inverse_naive,
+)
 from dyadlab.walsh import (
     GridFunction,
     WalshSpectrum,
     dyadic_convolve,
-    dyadic_convolve_naive,
     fwht_forward,
-    fwht_forward_naive,
     fwht_inverse,
-    fwht_inverse_naive,
     sequency,
 )
 

@@ -31,8 +31,8 @@ from dyadlab.operators import (
     translation_operator,
     walsh_conjugate,
 )
+from dyadlab.oracles import best_symbol_naive, symbol_to_operator_naive
 from dyadlab.walsh import GridFunction, walsh_values
-from oracles import naive_best_symbol, walsh_row
 
 
 def random_operator(n, seed):
@@ -55,7 +55,7 @@ def test_symbol_validation():
 def test_best_symbol_matches_bruteforce_oracle(n):
     a = random_operator(n, 600 + n)
     fast = best_convolution_symbol(a).coeffs
-    slow = naive_best_symbol(a)
+    slow = best_symbol_naive(a).coeffs
     assert np.max(np.abs(fast - slow)) <= 1e-12
 
 
@@ -64,15 +64,14 @@ def test_best_symbol_matches_bruteforce_oracle(n):
 def test_fold_matches_bruteforce_oracle(n, seed):
     a = random_operator(n, seed)
     fast = best_convolution_symbol(a).coeffs
-    assert np.max(np.abs(fast - naive_best_symbol(a))) <= 1e-12 * hs_norm(a)
+    assert np.max(np.abs(fast - best_symbol_naive(a).coeffs)) <= 1e-12 * hs_norm(a)
 
 
 @given(st.integers(1, 6), st.integers(0, 10**9))
 @settings(max_examples=15, deadline=None)
 def test_unfold_matches_walsh_outer_products(n, seed):
     s = np.random.default_rng(seed).standard_normal(2**n)
-    rows = [walsh_row(k, n) for k in range(2**n)]
-    oracle = sum(s[k] * np.outer(w, w) for k, w in enumerate(rows)) / 2**n
+    oracle = symbol_to_operator_naive(ConvolutionSymbol(s)).entries
     fast = symbol_to_operator(ConvolutionSymbol(s)).entries
     assert np.max(np.abs(fast - oracle)) <= 1e-12 * np.linalg.norm(s)
 
@@ -92,10 +91,10 @@ def test_best_symbol_of_symmetric_difference_is_zero(n):
 def test_translation_symbol_frozen_values():
     # brute-force 2x2 and 4x4 projections of the cyclic shift
     assert np.array_equal(
-        naive_best_symbol(translation_operator(1, 1)), [1.0, -1.0]
+        best_symbol_naive(translation_operator(1, 1)).coeffs, [1.0, -1.0]
     )
     assert np.array_equal(
-        naive_best_symbol(translation_operator(2, 1)), [1.0, 0.0, -1.0, 0.0]
+        best_symbol_naive(translation_operator(2, 1)).coeffs, [1.0, 0.0, -1.0, 0.0]
     )
     assert np.array_equal(translation_symbol_closed_form(1).coeffs, [1.0, -1.0])
     n2 = translation_symbol_closed_form(2).coeffs
@@ -109,6 +108,15 @@ def test_translation_closed_form_matches_projection(n):
     closed = translation_symbol_closed_form(n).coeffs
     assert np.max(np.abs(numeric - closed)) <= 1e-12
     assert closed[0] == 1.0
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_translation_closed_form_equals_per_index_rule(n):
+    # the value at Paley index gray(m) is 1 - 2**(1-n) * (m + m_0)
+    reference = np.empty(2**n)
+    for m in range(2**n):
+        reference[gray(m)] = 1.0 - 2.0 ** (1 - n) * (m + (m & 1))
+    assert np.array_equal(translation_symbol_closed_form(n).coeffs, reference)
 
 
 # ---------------------------------------------------------------------------

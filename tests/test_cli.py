@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dyadlab.best_approx
 import dyadlab.operators
@@ -234,6 +239,46 @@ def test_transform_roundtrip(tmp_path):
     )
     back = np.array([float(v) for v in back_file.read_text().split()])
     assert np.max(np.abs(back - original)) <= 1e-12
+
+
+def run_stdout(argv, stdin_text=""):
+    """Exit code and stdout of main(argv), with stdin_text as sys.stdin."""
+    out = io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin_text)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue()
+
+
+@given(
+    st.integers(0, 6).flatmap(
+        lambda n: st.lists(
+            st.floats(-1.0, 1.0, allow_nan=False), min_size=2**n, max_size=2**n
+        )
+    )
+)
+@settings(max_examples=25, deadline=None)
+def test_transform_stdin_matches_file_and_round_trips(values):
+    text = "".join(f"{v!r}\n" for v in values)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "vec.txt"
+        path.write_text(text)
+        for direction in ("forward", "inverse"):
+            for fmt in ("csv", "json"):
+                flags = ["--direction", direction, "--format", fmt]
+                from_stdin = run_stdout(["transform", "-", *flags], text)
+                from_file = run_stdout(["transform", str(path), *flags])
+                assert from_stdin == from_file
+                assert from_stdin[0] == 0
+    code, spectrum = run_stdout(["transform", "-"], text)
+    code, back = run_stdout(["transform", "-", "--direction", "inverse"], spectrum)
+    assert code == 0
+    back = np.array([float(v) for v in back.split()])
+    assert np.max(np.abs(back - np.array(values))) <= 1e-12
 
 
 def test_transform_json(tmp_path):

@@ -4,23 +4,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyadlab.dyadic import GridPoint, bit_reversal_permutation, gray
+from dyadlab.oracles import (
+    dyadic_convolve_naive,
+    fwht_forward_naive,
+    fwht_inverse_naive,
+    sequency_counts_naive,
+)
 from dyadlab.walsh import (
     GridFunction,
     WalshSpectrum,
     convolution_unit,
     dyadic_convolve,
-    dyadic_convolve_naive,
     fwht_forward,
-    fwht_forward_naive,
     fwht_inverse,
-    fwht_inverse_naive,
     sequency,
     sequency_counts,
     walsh_eval,
     walsh_matrix,
     walsh_values,
 )
-from oracles import sign_changes_by_scan, walsh_row
 
 
 def grid_functions(max_n=6):
@@ -55,7 +57,9 @@ def test_walsh_eval_examples():
 def test_walsh_values_and_matrix_match_pointwise(n):
     w = walsh_matrix(n)
     for k in range(2**n):
-        expected = walsh_row(k, n)
+        expected = np.array(
+            [walsh_eval(k, GridPoint(j, n)) for j in range(2**n)], dtype=np.float64
+        )
         assert np.array_equal(walsh_values(k, n).astype(float), expected)
         assert np.array_equal(w[k], expected)
 
@@ -208,8 +212,10 @@ def test_sequency_of_gray_index(n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_sequency_matches_scan_oracle(n):
+    scan = sequency_counts_naive(n)
+    assert np.array_equal(sequency_counts(n), scan)
     for k in range(2**n):
-        assert sequency(k, n) == sign_changes_by_scan(k, n)
+        assert sequency(k, n) == scan[k]
 
 
 def test_sequency_independent_of_resolution():
