@@ -10,6 +10,10 @@ onto the convolution algebra.
 Symbols are stored in Paley index order throughout; the closed-form
 constructors read the sequency of Paley index k as gray_inverse(k), which
 equals sequency_counts(n)[k].
+
+named_problem is the one registry of the named operators in NAMED_OPERATORS:
+each name's dense builder and closed-form best symbol, read by both the CLI's
+approx command and verify.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import operators
 from .dyadic import bit, gray_inverse
 from .operators import DenseOperator
 from .walsh import (
@@ -32,6 +37,7 @@ from .walsh import (
 __all__ = [
     "BUTZER_WAGNER",
     "FAMILIES",
+    "NAMED_OPERATORS",
     "ONNEWEER",
     "OPTIMAL",
     "ConvolutionSymbol",
@@ -41,6 +47,7 @@ __all__ = [
     "best_convolution_symbol",
     "butzer_wagner_gamma",
     "gamma_symbol",
+    "named_problem",
     "onneweer_gamma",
     "optimal_gamma",
     "symbol_to_operator",
@@ -176,6 +183,37 @@ def translation_symbol_closed_form(n: int) -> ConvolutionSymbol:
         raise ValueError("resolution must be a positive integer")
     s = sequency_counts(n)
     return ConvolutionSymbol(1.0 - 2.0 ** (1 - n) * (s + (s & 1)))
+
+
+NAMED_OPERATORS = ("translation", "difference", "symmetric-difference", "antiderivative")
+
+
+def named_problem(
+    name: str, n: int, orientation: str = "backward_quotient"
+) -> tuple[DenseOperator, ConvolutionSymbol]:
+    """A named operator's dense matrix and its closed-form best symbol.
+
+    Builders and closed forms are looked up at call time, so patching
+    dyadlab.operators or this module changes what every caller gets.  The
+    orientation applies to the difference only; negating its gamma rule
+    turns the 0.0 at k = 0 into -0.0.
+    """
+    if name == "translation":
+        return operators.translation_operator(n, 1), translation_symbol_closed_form(n)
+    if name == "difference":
+        closed = gamma_symbol("optimal", n).coeffs
+        if orientation == "negated_backward_quotient":
+            closed = -closed
+        return operators.difference_operator(n, orientation), ConvolutionSymbol(closed)
+    if name == "symmetric-difference":
+        operator = operators.symmetric_difference_operator(n)
+        return operator, ConvolutionSymbol(np.zeros(2**n))
+    if name == "antiderivative":
+        operator = operators.compressed_antiderivative(n)
+        closed = np.zeros(2**n)
+        closed[0] = 0.5
+        return operator, ConvolutionSymbol(closed)
+    raise ValueError(f"unknown operator {name!r}; know {list(NAMED_OPERATORS)}")
 
 
 def symbol_to_operator(s: ConvolutionSymbol) -> DenseOperator:

@@ -20,23 +20,19 @@ from pathlib import Path
 import numpy as np
 
 from .best_approx import (
+    FAMILIES,
+    NAMED_OPERATORS,
     ConvolutionSymbol,
     approx_error,
     best_convolution_symbol,
     butzer_wagner_gamma,
     gamma_symbol,
+    named_problem,
     onneweer_gamma,
     optimal_gamma,
-    translation_symbol_closed_form,
 )
 from .dyadic import gray, gray_inverse
-from .operators import (
-    ORIENTATIONS,
-    compressed_antiderivative,
-    difference_operator,
-    symmetric_difference_operator,
-    translation_operator,
-)
+from .operators import ORIENTATIONS, difference_operator
 from .verify import DEFAULT_SEED, DEFAULT_TOLERANCE, run_verification
 from .walsh import GridFunction, WalshSpectrum, fwht_forward, fwht_inverse, sequency_counts
 
@@ -122,27 +118,10 @@ def cmd_gamma(args) -> int:
     return 0
 
 
-_APPROX_OPERATORS = ("translation", "difference", "symmetric-difference", "antiderivative")
-
-
-def _approx_problem(name: str, n: int, orientation: str):
-    if name == "translation":
-        return translation_operator(n, 1), translation_symbol_closed_form(n).coeffs
-    if name == "difference":
-        closed = gamma_symbol("optimal", n).coeffs
-        if orientation == "negated_backward_quotient":
-            closed = -closed
-        return difference_operator(n, orientation), closed
-    if name == "symmetric-difference":
-        return symmetric_difference_operator(n), np.zeros(2**n)
-    closed = np.zeros(2**n)
-    closed[0] = 0.5
-    return compressed_antiderivative(n), closed
-
-
 def cmd_approx(args) -> int:
     _require_range("n", args.n, 1, 12)
-    operator, closed = _approx_problem(args.operator, args.n, args.orientation)
+    operator, symbol = named_problem(args.operator, args.n, args.orientation)
+    closed = symbol.coeffs
     oracle = best_convolution_symbol(operator)
     diffs = np.abs(oracle.coeffs - closed)
     rows = list(
@@ -160,12 +139,8 @@ def cmd_approx(args) -> int:
 def cmd_compare(args) -> int:
     _require_range("n", args.n, 2, 10)
     delta = difference_operator(args.n, "backward_quotient")
-    symbols = [
-        ("optimal", gamma_symbol("optimal", args.n)),
-        ("butzer_wagner", gamma_symbol("butzer_wagner", args.n)),
-        ("onneweer", gamma_symbol("onneweer", args.n)),
-        ("zero", ConvolutionSymbol(np.zeros(2**args.n))),
-    ]
+    symbols = [(name, gamma_symbol(f, args.n)) for name, f in FAMILIES.items()]
+    symbols.append(("zero", ConvolutionSymbol(np.zeros(2**args.n))))
     rows = [[name, approx_error(delta, s)] for name, s in symbols]
     _render(args, ["symbol", "hs_error"], rows, {"n": args.n})
     return 0
@@ -272,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="best convolution symbol of a named operator vs its closed form",
     )
-    p.add_argument("operator", choices=_APPROX_OPERATORS)
+    p.add_argument("operator", choices=NAMED_OPERATORS)
     p.add_argument("-n", type=int, required=True, help="resolution, 1..12")
     p.add_argument(
         "--orientation",

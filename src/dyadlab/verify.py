@@ -224,20 +224,15 @@ def _check_antiderivative_row_sums(n, rng):
     return float(np.max(np.abs(a.entries.sum(axis=1) - expected)))
 
 
-def _check_translation_closed_form(n, rng):
-    numeric = best_approx.best_convolution_symbol(
-        operators.translation_operator(n, 1)
-    )
-    closed = best_approx.translation_symbol_closed_form(n)
-    return float(np.max(np.abs(numeric.coeffs - closed.coeffs)))
+def _named_closed_form_check(name):
+    """Check that the projection of a named operator is its closed form."""
 
+    def check(n, rng):
+        operator, closed = best_approx.named_problem(name, n)
+        numeric = best_approx.best_convolution_symbol(operator)
+        return float(np.max(np.abs(numeric.coeffs - closed.coeffs)))
 
-def _check_difference_gamma_closed_form(n, rng):
-    numeric = best_approx.best_convolution_symbol(
-        operators.difference_operator(n, "backward_quotient")
-    )
-    closed = best_approx.gamma_symbol("optimal", n)
-    return float(np.max(np.abs(numeric.coeffs - closed.coeffs)))
+    return check
 
 
 def _check_negated_orientation_symmetry(n, rng):
@@ -248,22 +243,6 @@ def _check_negated_orientation_symmetry(n, rng):
         operators.difference_operator(n, "negated_backward_quotient")
     )
     return float(np.max(np.abs(negated.coeffs + backward.coeffs)))
-
-
-def _check_symmetric_difference_zero_symbol(n, rng):
-    symbol = best_approx.best_convolution_symbol(
-        operators.symmetric_difference_operator(n)
-    )
-    return float(np.max(np.abs(symbol.coeffs)))
-
-
-def _check_antiderivative_half_delta_symbol(n, rng):
-    symbol = best_approx.best_convolution_symbol(
-        operators.compressed_antiderivative(n)
-    )
-    expected = np.zeros(2**n)
-    expected[0] = 0.5
-    return float(np.max(np.abs(symbol.coeffs - expected)))
 
 
 def _check_gamma_two_branch(n, rng):
@@ -345,13 +324,13 @@ _CHECKS = (
         "tol",
     ),
     ("antiderivative_row_sums", _check_antiderivative_row_sums, None, "tol"),
+    ("translation_closed_form", _named_closed_form_check("translation"), None, "tol"),
     (
-        "translation_closed_form",
-        _check_translation_closed_form,
+        "difference_gamma_closed_form",
+        _named_closed_form_check("difference"),
         None,
-        "tol",
+        "tol_scaled",
     ),
-    ("difference_gamma_closed_form", _check_difference_gamma_closed_form, None, "tol_scaled"),
     (
         "negated_orientation_symmetry",
         _check_negated_orientation_symmetry,
@@ -360,11 +339,16 @@ _CHECKS = (
     ),
     (
         "symmetric_difference_zero_symbol",
-        _check_symmetric_difference_zero_symbol,
+        _named_closed_form_check("symmetric-difference"),
         None,
         "tol",
     ),
-    ("antiderivative_half_delta_symbol", _check_antiderivative_half_delta_symbol, None, "tol"),
+    (
+        "antiderivative_half_delta_symbol",
+        _named_closed_form_check("antiderivative"),
+        None,
+        "tol",
+    ),
     ("gamma_two_branch_consistency", _check_gamma_two_branch, None, "exact"),
     ("projection_optimality", _check_projection_optimality, 6, "tol"),
     ("residual_orthogonality", _check_residual_orthogonality, 6, "tol"),

@@ -311,3 +311,16 @@ def test_optimal_family_beats_the_others(n):
     assert e_optimal < approx_error(delta, gamma_symbol("butzer_wagner", n))
     assert e_optimal < approx_error(delta, gamma_symbol("onneweer", n))
     assert e_optimal < approx_error(delta, ConvolutionSymbol(np.zeros(2**n)))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_minimal_error_in_closed_form(n):
+    # the attainable minimum sqrt(2N(N**2 - 4)/3) against the operator's
+    # own HS norm sqrt(2N**3), the error of the zero symbol; their ratio
+    # sqrt((1 - 4/N**2)/3) tends to 1/sqrt(3)
+    size = 2**n
+    delta = difference_operator(n)
+    e_optimal = approx_error(delta, gamma_symbol("optimal", n))
+    e_zero = approx_error(delta, ConvolutionSymbol(np.zeros(size)))
+    assert e_optimal == pytest.approx(np.sqrt(2 * size * (size**2 - 4) / 3), rel=1e-12)
+    assert e_zero == pytest.approx(np.sqrt(2 * size**3), rel=1e-12)

@@ -400,6 +400,23 @@ def test_corrupted_antiderivative_flips_verify(tmp_path, monkeypatch):
     assert "antiderivative_half_delta_symbol" in _failed_checks(payload)
 
 
+def test_approx_and_verify_see_the_same_builder(tmp_path, monkeypatch):
+    true_fn = dyadlab.operators.symmetric_difference_operator
+
+    def corrupted(n):
+        entries = true_fn(n).entries.copy()
+        entries[0, 0] += 1e-6
+        return DenseOperator(entries)
+
+    monkeypatch.setattr(dyadlab.operators, "symmetric_difference_operator", corrupted)
+    code, payload = run_json(tmp_path, ["verify", "--n-max", "3"])
+    assert code == 1
+    assert "symmetric_difference_zero_symbol" in _failed_checks(payload)
+    code, payload = run_json(tmp_path, ["approx", "symmetric-difference", "-n", "3"])
+    assert code == 0
+    assert payload["max_abs_diff"] > 0
+
+
 # ---------------------------------------------------------------------------
 # every failure mode exits 2 with one error line and no traceback
 

@@ -3,6 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dyadlab.best_approx import (
+    NAMED_OPERATORS,
+    gamma_symbol,
+    named_problem,
+    translation_symbol_closed_form,
+)
 from dyadlab.operators import (
     ORIENTATIONS,
     DenseOperator,
@@ -139,9 +145,35 @@ def test_named_builders_match_their_formulas_bit_for_bit(n):
             np.tril(np.full((size, size), h), k=-1) + (h / 2) * np.eye(size),
         ),
     ]
+    # the registry hands out the same matrices, and the closed forms that
+    # the CLI used to state inline: -0.0 leads the negated gamma rule
+    optimal = gamma_symbol("optimal", n).coeffs
+    half_delta = np.zeros(size)
+    half_delta[0] = 0.5
+    for orientation in ORIENTATIONS:
+        closed = {
+            "translation": translation_symbol_closed_form(n).coeffs,
+            "difference": -optimal if orientation.startswith("negated") else optimal,
+            "symmetric-difference": np.zeros(size),
+            "antiderivative": half_delta,
+        }
+        builders = {
+            "translation": translation_operator(n, 1),
+            "difference": difference_operator(n, orientation),
+            "symmetric-difference": symmetric_difference_operator(n),
+            "antiderivative": compressed_antiderivative(n),
+        }
+        for name in NAMED_OPERATORS:
+            operator, symbol = named_problem(name, n, orientation)
+            pairs.append((operator.entries, builders[name].entries))
+            pairs.append((symbol.coeffs, closed[name]))
+    negated = named_problem("difference", n, "negated_backward_quotient")[1]
+    assert np.signbit(negated.coeffs[0])
     for built, formula in pairs:
         assert np.array_equal(built, formula)
         assert np.array_equal(np.signbit(built), np.signbit(formula))
+    with pytest.raises(ValueError):
+        named_problem("laplacian", n)
 
 
 def test_hs_inner_examples():
