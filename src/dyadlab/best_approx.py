@@ -11,13 +11,18 @@ Symbols are stored in Paley index order throughout; the closed-form
 constructors read the sequency of Paley index k as gray_inverse(k), which
 equals sequency_counts(n)[k].
 
-named_problem is the one registry of the named operators in NAMED_OPERATORS:
-each name's dense builder and closed-form best symbol, read by both the CLI's
-approx command and verify.
+The named operators in NAMED_OPERATORS are registered here once: each
+name's dense builder (named_problem), its XOR fold and exact squared HS norm
+from an O(N) kernel (named_fold), and its closed-form best symbol
+(named_closed_form).  The CLI's approx and compare commands read the fold and
+the closed form and take the residual with hs_distance, with no N x N matrix;
+verify checks both the dense and the matrix-free route against the closed
+form.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -47,6 +52,9 @@ __all__ = [
     "best_convolution_symbol",
     "butzer_wagner_gamma",
     "gamma_symbol",
+    "hs_distance",
+    "named_closed_form",
+    "named_fold",
     "named_problem",
     "onneweer_gamma",
     "optimal_gamma",
@@ -157,10 +165,23 @@ def _xor_fold(entries: np.ndarray) -> np.ndarray:
     Splitting i and j on their top bit, the diagonal blocks hold the d with
     top bit 0 and the off-diagonal blocks those with top bit 1; each pair of
     blocks is added into one slot, and the (slots, h, h) stack is split again
-    until h = 1, when slot d holds b[d].
+    until h = 1, when slot d holds b[d].  The two top-level sums are folded
+    one after the other, so at most a quarter of the matrix is held beside
+    it at a time.
     """
-    size = entries.shape[0]
-    blocks = entries.reshape(1, size, size)
+    h = entries.shape[0] // 2
+    quads = entries.reshape(2, h, 2, h)
+    return np.concatenate(
+        [
+            _fold_blocks(quads[0, :, 0] + quads[1, :, 1]),
+            _fold_blocks(quads[0, :, 1] + quads[1, :, 0]),
+        ]
+    )
+
+
+def _fold_blocks(block: np.ndarray) -> np.ndarray:
+    size = block.shape[0]
+    blocks = block.reshape(1, size, size)
     while blocks.shape[1] > 1:
         h = blocks.shape[1] // 2
         quads = blocks.reshape(-1, 2, h, 2, h)
@@ -188,32 +209,161 @@ def translation_symbol_closed_form(n: int) -> ConvolutionSymbol:
 NAMED_OPERATORS = ("translation", "difference", "symmetric-difference", "antiderivative")
 
 
+def _band_fold(n: int, bands: tuple[tuple[int, float], ...]) -> np.ndarray:
+    """XOR fold of the sum of value * (translation by step) over the bands.
+
+    Row i of a translation by step holds its one entry in column
+    i - step mod 2**n, so the fold is np.bincount over i XOR that column.
+    """
+    size = 2**n
+    j = np.arange(size)
+    diagonals = np.concatenate([j ^ ((j - step) % size) for step, _ in bands])
+    weights = np.repeat([value for _, value in bands], size)
+    return np.bincount(diagonals, weights=weights, minlength=size)
+
+
+def _translation_fold(n: int) -> tuple[np.ndarray, float]:
+    return _band_fold(n, ((1, 1.0),)), 2.0**n
+
+
+def _difference_fold(n: int) -> tuple[np.ndarray, float]:
+    return _band_fold(n, ((0, 2.0**n), (1, -(2.0**n)))), 2.0 ** (3 * n + 1)
+
+
+def _symmetric_difference_fold(n: int) -> tuple[np.ndarray, float]:
+    half = 2.0 ** (n - 1)
+    # at n = 1 both translations are the same swap and cancel
+    norm_sq = 2.0 ** (3 * n - 1) if n > 1 else 0.0
+    return _band_fold(n, ((1, half), (-1, -half))), norm_sq
+
+
+def _antiderivative_fold(n: int) -> tuple[np.ndarray, float]:
+    # every XOR diagonal d > 0 meets 2**(n-1) cells below the main diagonal,
+    # and the main diagonal holds 2**n cells of h/2
+    size = 2**n
+    return np.full(size, 0.5), (2 * size * (size - 1) + size) / (4.0 * size * size)
+
+
+# name -> n -> (fold, ||A||**2) of the backward orientation; read at call time
+_FOLDS = {
+    "translation": _translation_fold,
+    "difference": _difference_fold,
+    "symmetric-difference": _symmetric_difference_fold,
+    "antiderivative": _antiderivative_fold,
+}
+
+
+def named_fold(
+    name: str, n: int, orientation: str = "backward_quotient"
+) -> tuple[np.ndarray, float]:
+    """A named operator's XOR fold and its exact squared HS norm, matrix-free.
+
+    fold[d] = sum_i A[i, i XOR d] equals _xor_fold of the dense builder's
+    matrix bit for bit, so fwht_forward(fold) is best_convolution_symbol of
+    it, and norm_sq = ||A||**2 exactly; both take O(N) memory for N = 2**n.
+    The orientation applies to the difference only: its negated fold is the
+    fold of the negated kernel, with -0.0 on the empty XOR diagonals as in
+    the dense matrix.  Negating the symbol instead would turn its 0.0 at
+    k = 0 into -0.0.
+    """
+    if name not in _FOLDS:
+        raise ValueError(f"unknown operator {name!r}; know {list(NAMED_OPERATORS)}")
+    if n < 1:
+        raise ValueError("resolution must be a positive integer")
+    fold, norm_sq = _FOLDS[name](n)
+    if name == "difference":
+        if orientation not in operators.ORIENTATIONS:
+            raise ValueError(f"orientation must be one of {operators.ORIENTATIONS}")
+        if orientation == "negated_backward_quotient":
+            np.negative(fold, out=fold)
+    return fold, norm_sq
+
+
+def named_closed_form(
+    name: str, n: int, orientation: str = "backward_quotient"
+) -> ConvolutionSymbol:
+    """A named operator's best symbol in closed form.
+
+    translation_symbol_closed_form and gamma_symbol are looked up at call
+    time, so patching this module changes what every caller gets.  The
+    orientation applies to the difference only; negating its gamma rule
+    turns the 0.0 at k = 0 into -0.0.
+    """
+    if name == "translation":
+        return translation_symbol_closed_form(n)
+    if name == "difference":
+        closed = gamma_symbol("optimal", n).coeffs
+        if orientation == "negated_backward_quotient":
+            closed = -closed
+        return ConvolutionSymbol(closed)
+    if name in ("symmetric-difference", "antiderivative"):
+        if n < 1:
+            raise ValueError("resolution must be a positive integer")
+        closed = np.zeros(2**n)
+        if name == "antiderivative":
+            closed[0] = 0.5
+        return ConvolutionSymbol(closed)
+    raise ValueError(f"unknown operator {name!r}; know {list(NAMED_OPERATORS)}")
+
+
 def named_problem(
     name: str, n: int, orientation: str = "backward_quotient"
 ) -> tuple[DenseOperator, ConvolutionSymbol]:
     """A named operator's dense matrix and its closed-form best symbol.
 
-    Builders and closed forms are looked up at call time, so patching
-    dyadlab.operators or this module changes what every caller gets.  The
-    orientation applies to the difference only; negating its gamma rule
-    turns the 0.0 at k = 0 into -0.0.
+    The builders are looked up on dyadlab.operators at call time, so
+    patching one changes what every caller gets.
     """
+    closed = named_closed_form(name, n, orientation)
     if name == "translation":
-        return operators.translation_operator(n, 1), translation_symbol_closed_form(n)
+        return operators.translation_operator(n, 1), closed
     if name == "difference":
-        closed = gamma_symbol("optimal", n).coeffs
-        if orientation == "negated_backward_quotient":
-            closed = -closed
-        return operators.difference_operator(n, orientation), ConvolutionSymbol(closed)
+        return operators.difference_operator(n, orientation), closed
     if name == "symmetric-difference":
-        operator = operators.symmetric_difference_operator(n)
-        return operator, ConvolutionSymbol(np.zeros(2**n))
-    if name == "antiderivative":
-        operator = operators.compressed_antiderivative(n)
-        closed = np.zeros(2**n)
-        closed[0] = 0.5
-        return operator, ConvolutionSymbol(closed)
-    raise ValueError(f"unknown operator {name!r}; know {list(NAMED_OPERATORS)}")
+        return operators.symmetric_difference_operator(n), closed
+    return operators.compressed_antiderivative(n), closed
+
+
+def hs_distance(norm_sq: float, p: ConvolutionSymbol, s: ConvolutionSymbol) -> float:
+    """HS distance from A to the convolution operator with symbol s, exactly.
+
+    p is A's best symbol and norm_sq = ||A||**2.  The residual A - C_p is
+    HS-orthogonal to every convolution operator, so
+
+        ||A - C_s||**2 = ||A||**2 - 2 <s, p> + sum(s**2),
+
+    with no N x N matrix.  Every finite float is m * 2**e with integer m,
+    so the right side is summed exactly in Python ints; converting it to
+    float rounds once and math.sqrt rounds once, a relative error of at
+    most about 1.5 * 2**-53.  np.linalg.norm of the formed residual, as in
+    approx_error, accumulates about N**2 roundings.  A negative square
+    means norm_sq or p does not belong to one operator, and raises
+    ValueError.
+    """
+    if p.resolution != s.resolution:
+        raise ValueError(f"resolution mismatch: {p.resolution} != {s.resolution}")
+    # the square as sum(x * y) over x = (s, s, norm_sq), y = (s, -2p, 1)
+    x = np.concatenate([s.coeffs, s.coeffs, [norm_sq]])
+    y = np.concatenate([s.coeffs, -2.0 * p.coeffs, [1.0]])
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("norm_sq and the symbols must be finite")
+    # frexp's mantissas times 2**53 are integers below 2**53
+    mx, ex = np.frexp(x)
+    my, ey = np.frexp(y)
+    exponents = ex + ey
+    low = int(exponents.min())
+    square = sum(
+        a * b << k
+        for a, b, k in zip(
+            (mx * 2.0**53).astype(np.int64).tolist(),
+            (my * 2.0**53).astype(np.int64).tolist(),
+            (exponents - low).tolist(),
+        )
+    )
+    if square < 0:
+        raise ValueError("negative squared distance: norm_sq does not match p")
+    scale = low - 106
+    return math.sqrt(square / (1 << -scale) if scale < 0 else float(square << scale))
 
 
 def symbol_to_operator(s: ConvolutionSymbol) -> DenseOperator:

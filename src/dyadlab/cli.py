@@ -23,16 +23,16 @@ from .best_approx import (
     FAMILIES,
     NAMED_OPERATORS,
     ConvolutionSymbol,
-    approx_error,
-    best_convolution_symbol,
     butzer_wagner_gamma,
     gamma_symbol,
-    named_problem,
+    hs_distance,
+    named_closed_form,
+    named_fold,
     onneweer_gamma,
     optimal_gamma,
 )
 from .dyadic import gray, gray_inverse
-from .operators import ORIENTATIONS, difference_operator
+from .operators import ORIENTATIONS
 from .verify import DEFAULT_SEED, DEFAULT_TOLERANCE, run_verification
 from .walsh import GridFunction, WalshSpectrum, fwht_forward, fwht_inverse, sequency_counts
 
@@ -118,11 +118,16 @@ def cmd_gamma(args) -> int:
     return 0
 
 
+def _best_symbol(name: str, n: int, orientation: str) -> tuple[ConvolutionSymbol, float]:
+    """A named operator's best symbol and ||A||**2, from its fold: no N x N array."""
+    fold, norm_sq = named_fold(name, n, orientation)
+    return ConvolutionSymbol(fwht_forward(GridFunction(fold)).coeffs), norm_sq
+
+
 def cmd_approx(args) -> int:
     _require_range("n", args.n, 1, 12)
-    operator, symbol = named_problem(args.operator, args.n, args.orientation)
-    closed = symbol.coeffs
-    oracle = best_convolution_symbol(operator)
+    oracle, norm_sq = _best_symbol(args.operator, args.n, args.orientation)
+    closed = named_closed_form(args.operator, args.n, args.orientation).coeffs
     diffs = np.abs(oracle.coeffs - closed)
     rows = list(
         zip(range(2**args.n), oracle.coeffs.tolist(), closed.tolist(), diffs.tolist())
@@ -130,7 +135,7 @@ def cmd_approx(args) -> int:
     meta = {"operator": args.operator, "n": args.n, "orientation": args.orientation}
     footer = {
         "max_abs_diff": float(np.max(diffs)),
-        "residual_hs_error": approx_error(operator, oracle),
+        "residual_hs_error": hs_distance(norm_sq, oracle, oracle),
     }
     _render(args, ["k", "oracle", "closed_form", "abs_diff"], rows, meta, footer)
     return 0
@@ -138,10 +143,10 @@ def cmd_approx(args) -> int:
 
 def cmd_compare(args) -> int:
     _require_range("n", args.n, 2, 10)
-    delta = difference_operator(args.n, "backward_quotient")
+    best, norm_sq = _best_symbol("difference", args.n, "backward_quotient")
     symbols = [(name, gamma_symbol(f, args.n)) for name, f in FAMILIES.items()]
     symbols.append(("zero", ConvolutionSymbol(np.zeros(2**args.n))))
-    rows = [[name, approx_error(delta, s)] for name, s in symbols]
+    rows = [[name, hs_distance(norm_sq, best, s)] for name, s in symbols]
     _render(args, ["symbol", "hs_error"], rows, {"n": args.n})
     return 0
 

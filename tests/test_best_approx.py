@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,12 @@ from dyadlab.best_approx import (
     approx_error,
     best_convolution_symbol,
     butzer_wagner_gamma,
+    _xor_fold,
     gamma_symbol,
+    hs_distance,
+    named_closed_form,
+    named_fold,
+    named_problem,
     onneweer_gamma,
     optimal_gamma,
     symbol_to_operator,
@@ -22,6 +29,7 @@ from dyadlab.best_approx import (
 )
 from dyadlab.dyadic import gray
 from dyadlab.operators import (
+    ORIENTATIONS,
     DenseOperator,
     compressed_antiderivative,
     difference_operator,
@@ -32,7 +40,7 @@ from dyadlab.operators import (
     walsh_conjugate,
 )
 from dyadlab.oracles import best_symbol_naive, symbol_to_operator_naive
-from dyadlab.walsh import GridFunction, walsh_values
+from dyadlab.walsh import GridFunction, fwht_forward, walsh_values
 
 
 def random_operator(n, seed):
@@ -324,3 +332,85 @@ def test_minimal_error_in_closed_form(n):
     e_zero = approx_error(delta, ConvolutionSymbol(np.zeros(size)))
     assert e_optimal == pytest.approx(np.sqrt(2 * size * (size**2 - 4) / 3), rel=1e-12)
     assert e_zero == pytest.approx(np.sqrt(2 * size**3), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the matrix-free route of approx and compare against the dense one
+
+NAMED_CASES = [
+    ("translation", "backward_quotient"),
+    *(("difference", orientation) for orientation in ORIENTATIONS),
+    ("symmetric-difference", "backward_quotient"),
+    ("antiderivative", "backward_quotient"),
+]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_named_fold_matches_the_dense_route(n):
+    for name, orientation in NAMED_CASES:
+        fold, norm_sq = named_fold(name, n, orientation)
+        operator, _ = named_problem(name, n, orientation)
+        dense = _xor_fold(operator.entries)
+        assert fold.tobytes() == dense.tobytes(), (name, orientation)
+        assert np.array_equal(np.signbit(fold), np.signbit(dense))
+        symbol = fwht_forward(GridFunction(fold)).coeffs
+        assert symbol.tobytes() == best_convolution_symbol(operator).coeffs.tobytes()
+        assert norm_sq == np.sum(operator.entries**2)
+        del operator
+
+
+def test_named_fold_and_closed_form_reject_bad_arguments():
+    for call in (named_fold, named_closed_form):
+        with pytest.raises(ValueError, match="unknown operator"):
+            call("laplacian", 3)
+        with pytest.raises(ValueError, match="resolution"):
+            call("antiderivative", 0)
+    with pytest.raises(ValueError, match="orientation"):
+        named_fold("difference", 3, "forward")
+
+
+@given(
+    st.sampled_from(NAMED_CASES),
+    st.integers(1, 8),
+    st.integers(0, 12),
+    st.integers(0, 10**9),
+)
+@settings(max_examples=40, deadline=None)
+def test_hs_distance_matches_approx_error(case, n, scale, seed):
+    # random dyadic symbols: integers over 2**scale
+    name, orientation = case
+    rng = np.random.default_rng(seed)
+    s = ConvolutionSymbol(rng.integers(-(2**20), 2**20, 2**n) * 2.0**-scale)
+    fold, norm_sq = named_fold(name, n, orientation)
+    p = ConvolutionSymbol(fwht_forward(GridFunction(fold)).coeffs)
+    operator, _ = named_problem(name, n, orientation)
+    assert hs_distance(norm_sq, p, s) == pytest.approx(
+        approx_error(operator, s), rel=1e-12
+    )
+    assert hs_distance(norm_sq, p, p) == pytest.approx(
+        approx_error(operator, p), rel=1e-12, abs=1e-12
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_hs_distance_is_exact_on_the_difference_quotient(n):
+    # the squares 2N(N**2 - 4)/3 and 2N**3 are integers, so the result is
+    # one correctly rounded square root
+    size = 2**n
+    fold, norm_sq = named_fold("difference", n)
+    p = ConvolutionSymbol(fwht_forward(GridFunction(fold)).coeffs)
+    optimal = gamma_symbol("optimal", n)
+    zero = ConvolutionSymbol(np.zeros(size))
+    assert hs_distance(norm_sq, p, optimal) == math.sqrt(2 * size * (size**2 - 4) // 3)
+    assert hs_distance(norm_sq, p, p) == math.sqrt(2 * size * (size**2 - 4) // 3)
+    assert hs_distance(norm_sq, p, zero) == math.sqrt(2 * size**3)
+
+
+def test_hs_distance_rejects_inconsistent_inputs():
+    p = ConvolutionSymbol(np.ones(4))
+    with pytest.raises(ValueError, match="negative"):
+        hs_distance(0.0, p, p)
+    with pytest.raises(ValueError, match="resolution"):
+        hs_distance(8.0, p, ConvolutionSymbol(np.ones(8)))
+    with pytest.raises(ValueError, match="finite"):
+        hs_distance(float("inf"), p, p)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 import dyadlab.best_approx
 import dyadlab.operators
 from dyadlab.best_approx import (
+    NAMED_OPERATORS,
     ConvolutionSymbol,
     approx_error,
     best_convolution_symbol,
@@ -401,6 +403,8 @@ def test_corrupted_antiderivative_flips_verify(tmp_path, monkeypatch):
 
 
 def test_approx_and_verify_see_the_same_builder(tmp_path, monkeypatch):
+    # verify reads both the dense builder and the matrix-free fold; approx
+    # reads only the fold, so a wrong fold must flip both
     true_fn = dyadlab.operators.symmetric_difference_operator
 
     def corrupted(n):
@@ -408,13 +412,49 @@ def test_approx_and_verify_see_the_same_builder(tmp_path, monkeypatch):
         entries[0, 0] += 1e-6
         return DenseOperator(entries)
 
-    monkeypatch.setattr(dyadlab.operators, "symmetric_difference_operator", corrupted)
+    with monkeypatch.context() as patch:
+        patch.setattr(dyadlab.operators, "symmetric_difference_operator", corrupted)
+        code, payload = run_json(tmp_path, ["verify", "--n-max", "3"])
+        assert code == 1
+        assert "symmetric_difference_zero_symbol" in _failed_checks(payload)
+
+    true_fold = dyadlab.best_approx._FOLDS["symmetric-difference"]
+
+    def corrupted_fold(n):
+        fold, norm_sq = true_fold(n)
+        fold[0] += 1e-6
+        return fold, norm_sq
+
+    monkeypatch.setitem(
+        dyadlab.best_approx._FOLDS, "symmetric-difference", corrupted_fold
+    )
     code, payload = run_json(tmp_path, ["verify", "--n-max", "3"])
     assert code == 1
     assert "symmetric_difference_zero_symbol" in _failed_checks(payload)
     code, payload = run_json(tmp_path, ["approx", "symmetric-difference", "-n", "3"])
     assert code == 0
     assert payload["max_abs_diff"] > 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(["approx", name, "-n", "12"] for name in NAMED_OPERATORS),
+        ["approx", "difference", "-n", "12", "--orientation", "negated_backward_quotient"],
+        ["compare", "-n", "10"],
+    ],
+    ids=" ".join,
+)
+def test_approx_and_compare_build_no_dense_matrix(tmp_path, argv):
+    # one N x N float64 array is 128 MiB at n = 12 and 8 MiB at n = 10
+    tracemalloc.start()
+    try:
+        code = main(argv + ["--out", str(tmp_path / "out.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 8 * 2**20
 
 
 # ---------------------------------------------------------------------------
